@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace sinan {
@@ -38,44 +39,48 @@ Cluster::Cluster(const Application& app, const ClusterConfig& cfg,
         t.next_sync_at = t.spec.log_sync_period_s;
     }
 
-    trees_.resize(app.request_types.size());
-    for (size_t r = 0; r < app.request_types.size(); ++r) {
-        const int32_t root = FlattenTree(app.request_types[r].root,
-                                         trees_[r]);
-        if (root != 0)
-            throw std::logic_error("Cluster: tree root must flatten to 0");
-    }
+    roots_.reserve(app.request_types.size());
+    for (const RequestType& rt : app.request_types)
+        roots_.push_back(FlattenTree(rt.root, -1));
+}
+
+void
+StageQueue::Grow()
+{
+    std::vector<int32_t> grown(buf_.empty() ? 16 : 2 * buf_.size());
+    for (size_t i = 0; i < size_; ++i)
+        grown[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    buf_.swap(grown);
+    head_ = 0;
 }
 
 int32_t
-Cluster::FlattenTree(const CallNode& node, std::vector<FlatNode>& out)
+Cluster::FlattenTree(const CallNode& node, int parent_tier)
 {
     if (node.tier < 0 || node.tier >= static_cast<int>(tiers_.size()))
         throw std::invalid_argument("Cluster: call node has bad tier index");
-    const int32_t idx = static_cast<int32_t>(out.size());
-    out.push_back(FlatNode{node.tier, node.demand_s, node.demand_cv,
-                           node.hit_prob, node.async, 0, 0});
+    const int32_t idx = static_cast<int32_t>(nodes_.size());
+    nodes_.push_back(FlatNode{node.tier, parent_tier,
+                              Rng::FitLogNormal(node.demand_s,
+                                                node.demand_cv),
+                              node.hit_prob, node.async, idx + 1,
+                              static_cast<int32_t>(node.children.size()),
+                              0});
     // Depth-first layout: a node's first child is at idx+1 and sibling
-    // k+1 starts right after sibling k's whole subtree, so FinishLocalWork
-    // can enumerate children by skipping subtrees. We only store the first
-    // child index and the child count.
-    std::vector<int32_t> child_idx;
-    child_idx.reserve(node.children.size());
+    // k+1 starts where sibling k's subtree ends, so FinishLocalWork
+    // enumerates children by hopping subtree_end.
     for (const CallNode& c : node.children)
-        child_idx.push_back(FlattenTree(c, out));
-    FlatNode& fn = out[idx];
-    fn.child_begin = child_idx.empty() ? 0 : child_idx.front();
-    fn.child_count = static_cast<int32_t>(child_idx.size());
+        FlattenTree(c, node.tier);
+    nodes_[idx].subtree_end = static_cast<int32_t>(nodes_.size());
     return idx;
 }
 
 int32_t
 Cluster::AllocStage()
 {
-    if (free_head_ >= 0) {
-        const int32_t h = free_head_;
-        free_head_ = stages_[h].next_free;
-        stages_[h] = Stage{};
+    if (!free_stages_.empty()) {
+        const int32_t h = free_stages_.back();
+        free_stages_.pop_back();
         return h;
     }
     stages_.emplace_back();
@@ -86,34 +91,35 @@ void
 Cluster::FreeStage(int32_t handle)
 {
     stages_[handle].state = 0;
-    stages_[handle].next_free = free_head_;
-    free_head_ = handle;
+    free_stages_.push_back(handle);
 }
 
 int32_t
-Cluster::SpawnStage(int16_t type, int32_t node, int32_t parent,
-                    bool record_latency, double now, double birth)
+Cluster::SpawnStage(int32_t node, int32_t parent, bool record_latency,
+                    double now, double birth)
 {
-    const FlatNode& fn = trees_[type][node];
+    const FlatNode& fn = nodes_[node];
     const int32_t h = AllocStage();
     Stage& s = stages_[h];
-    s.node = node;
-    s.type = type;
-    s.state = 1; // queued
-    s.record_latency = record_latency;
-    s.parent = parent;
-    s.pending_children = 0;
-    s.remaining_s = rng_.LogNormal(fn.demand_s, fn.demand_cv);
+    s.remaining_s = rng_.LogNormal(fn.demand);
+    s.consumed_tick_s = 0.0;
     s.enqueue_time = now;
     s.birth_time = birth;
     s.ready_tick = in_tick_ ? tick_id_ + 1 : tick_id_;
+    s.node = node;
+    s.parent = parent;
+    s.pending_children = 0;
+    s.trace_idx = -1;
+    s.span_idx = -1;
+    s.state = 1; // queued
+    s.record_latency = record_latency;
 
     TierState& tier = tiers_[fn.tier];
     tier.queue.push_back(h);
     tier.rx_pkts += tier.spec.pkts_per_rpc;
     if (parent >= 0) {
-        const FlatNode& pn = trees_[type][stages_[parent].node];
-        tiers_[pn.tier].tx_pkts += tiers_[pn.tier].spec.pkts_per_rpc;
+        TierState& caller = tiers_[fn.parent_tier];
+        caller.tx_pkts += caller.spec.pkts_per_rpc;
     }
     return h;
 }
@@ -122,11 +128,10 @@ void
 Cluster::Inject(int request_type, double now)
 {
     if (request_type < 0 ||
-        request_type >= static_cast<int>(trees_.size())) {
+        request_type >= static_cast<int>(roots_.size())) {
         throw std::out_of_range("Cluster::Inject: bad request type");
     }
-    const int32_t h = SpawnStage(static_cast<int16_t>(request_type), 0,
-                                 -1, true, now, now);
+    const int32_t h = SpawnStage(roots_[request_type], -1, true, now, now);
     ++injected_;
     ++in_flight_;
 
@@ -157,7 +162,7 @@ Cluster::AttachSpan(int32_t handle, int32_t trace_idx, int parent_span,
     Stage& s = stages_[handle];
     Trace& trace = active_traces_[trace_idx];
     Span span;
-    span.tier = trees_[s.type][s.node].tier;
+    span.tier = nodes_[s.node].tier;
     span.span_id = static_cast<int>(trace.spans.size());
     span.parent_span = parent_span;
     span.async = async;
@@ -205,7 +210,15 @@ Cluster::AdmitFromQueue(TierState& tier, double now)
         tier.wait_acc += std::max(0.0, now - s.enqueue_time);
         ++tier.wait_count;
         ++tier.active;
-        tier.running.push_back(h);
+        // A stage without work (a zero-demand node) holds its slot but
+        // can never become runnable, so it stays off the running list:
+        // every stage on it is runnable at the start of a tick.
+        if (s.remaining_s > kEpsWork) {
+            tier.running.push_back(h);
+            // Fresh: work left and nothing consumed in this tick.
+            if (s.ready_tick <= tick_id_)
+                runnable_.push_back(h);
+        }
         if (s.trace_idx >= 0) {
             Span& span =
                 active_traces_[s.trace_idx].spans[s.span_idx];
@@ -219,10 +232,11 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
 {
     // Copy what we need up front: SpawnStage can grow the stage arena and
     // invalidate references into it.
-    const int16_t type = stages_[handle].type;
-    const int32_t node = stages_[handle].node;
-    const double birth = stages_[handle].birth_time;
-    const FlatNode& fn = trees_[type][node];
+    const Stage& st = stages_[handle];
+    const FlatNode& fn = nodes_[st.node];
+    const double birth = st.birth_time;
+    const int32_t parent_trace = st.trace_idx;
+    const int32_t parent_span = st.span_idx;
 
     const bool invoke_children =
         fn.child_count > 0 && !rng_.Bernoulli(fn.hit_prob);
@@ -232,29 +246,18 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
         return;
     }
 
-    // Spawn all children in parallel. Depth-first flattening means the
-    // k-th child's root index is the previous child's root plus the size
-    // of that child's subtree; the subtree is skipped by a preorder walk.
-    const int32_t parent_trace = stages_[handle].trace_idx;
-    const int32_t parent_span = stages_[handle].span_idx;
+    // Spawn all children in parallel.
     int32_t child = fn.child_begin;
     int sync_children = 0;
     for (int k = 0; k < fn.child_count; ++k) {
-        const bool async = trees_[type][child].async;
-        const int32_t ch = SpawnStage(type, child,
-                                      async ? -1 : handle, false,
-                                      end_time, birth);
+        const FlatNode& cn = nodes_[child];
+        const int32_t ch = SpawnStage(child, cn.async ? -1 : handle,
+                                      false, end_time, birth);
         if (parent_trace >= 0)
-            AttachSpan(ch, parent_trace, parent_span, async, end_time);
-        if (!async)
+            AttachSpan(ch, parent_trace, parent_span, cn.async, end_time);
+        if (!cn.async)
             ++sync_children;
-        int32_t cursor = child;
-        int32_t remaining = 1;
-        while (remaining > 0) {
-            remaining += trees_[type][cursor].child_count - 1;
-            ++cursor;
-        }
-        child = cursor;
+        child = cn.subtree_end;
     }
 
     if (sync_children == 0) {
@@ -269,36 +272,127 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
 void
 Cluster::CompleteStage(int32_t handle, double end_time)
 {
-    Stage s = stages_[handle]; // copy: FreeStage invalidates the slot
-    const FlatNode& fn = trees_[s.type][s.node];
-    TierState& tier = tiers_[fn.tier];
+    for (;;) {
+        const Stage& s = stages_[handle];
+        const FlatNode& fn = nodes_[s.node];
+        TierState& tier = tiers_[fn.tier];
 
-    --tier.active;
-    ++tier.completions;
-    tier.tx_pkts += tier.spec.pkts_per_rpc;
-    tier.written_mb += tier.spec.written_mb_per_req;
-    tier.cache_mb = std::min(tier.spec.max_cache_mb,
-                             tier.cache_mb + tier.spec.cache_per_req_mb);
-    if (s.parent >= 0) {
-        const FlatNode& pn = trees_[s.type][stages_[s.parent].node];
-        tiers_[pn.tier].rx_pkts += tiers_[pn.tier].spec.pkts_per_rpc;
-    }
+        --tier.active;
+        tier.tx_pkts += tier.spec.pkts_per_rpc;
+        tier.written_mb += tier.spec.written_mb_per_req;
+        tier.cache_mb = std::min(tier.spec.max_cache_mb,
+                                 tier.cache_mb + tier.spec.cache_per_req_mb);
+        const int32_t parent = s.parent;
+        if (parent >= 0) {
+            TierState& caller = tiers_[fn.parent_tier];
+            caller.rx_pkts += caller.spec.pkts_per_rpc;
+        }
 
-    if (s.record_latency) {
-        latency_.Add((end_time - s.birth_time) * 1000.0);
-        ++completed_;
-        --in_flight_;
-    }
-    if (s.trace_idx >= 0)
-        CloseSpan(s, end_time);
+        if (s.record_latency) {
+            latency_.Add((end_time - s.birth_time) * 1000.0);
+            ++completed_;
+            --in_flight_;
+        }
+        if (s.trace_idx >= 0)
+            CloseSpan(s, end_time);
+        FreeStage(handle);
 
-    const int32_t parent = s.parent;
-    FreeStage(handle);
-
-    if (parent >= 0) {
+        if (parent < 0)
+            return;
         Stage& p = stages_[parent];
-        if (--p.pending_children == 0 && p.state == 3)
-            CompleteStage(parent, end_time);
+        if (--p.pending_children != 0 || p.state != 3)
+            return;
+        handle = parent;
+    }
+}
+
+void
+Cluster::ServeTier(TierState& tier, double now, double dt,
+                   double end_time)
+{
+    // Fraction of this tick the tier is able to run.
+    double avail = 1.0;
+    if (tier.stall_until > now)
+        avail = std::max(0.0, (end_time - tier.stall_until) / dt);
+
+    // A stage admitted before this tick is runnable in the first
+    // round: it has work left (see AdmitFromQueue) and is ready, since
+    // its spawn tick is over; AdmitFromQueue appends the ready ones
+    // admitted now. A later round's runnable set is the previous one
+    // minus the stages that finished or hit the per-stage cap (nothing
+    // else changes eligibility within a tick), plus the ready stages
+    // admitted after the round, so it is kept incrementally, in
+    // running-list order, without rescanning the running list.
+    std::vector<int32_t>& run = tier.running;
+    runnable_.assign(run.begin(), run.end());
+    if (!tier.queue.empty())
+        AdmitFromQueue(tier, now);
+
+    double cap_s = tier.cpu_limit * cfg_.speed_factor *
+                   tier.capacity_factor * dt * avail;
+    const double per_stage_cap = dt * avail; // one core per stage
+    if (cap_s <= kEpsWork || !(0.0 < per_stage_cap - kEpsWork))
+        return; // no round could give anything
+
+    for (int round = 0;
+         round < kMaxRounds && cap_s > kEpsWork && !runnable_.empty();
+         ++round) {
+        const double share = cap_s / static_cast<double>(runnable_.size());
+        bool progressed = false;
+        size_t kept = 0;
+        finished_.clear();
+        for (size_t i = 0; i < runnable_.size(); ++i) {
+            const int32_t h = runnable_[i];
+            Stage& s = stages_[h];
+            if (round == 0)
+                s.consumed_tick_s = 0.0; // the tick's first look
+            const double give = std::min(
+                {share, s.remaining_s, per_stage_cap - s.consumed_tick_s});
+            if (give <= kEpsWork) {
+                runnable_[kept++] = h;
+                continue;
+            }
+            s.remaining_s -= give;
+            s.consumed_tick_s += give;
+            cap_s -= give;
+            tier.cpu_used_acc += give;
+            progressed = true;
+            if (s.remaining_s <= kEpsWork) {
+                s.remaining_s = 0.0;
+                finished_.push_back(h);
+            } else if (s.consumed_tick_s < per_stage_cap - kEpsWork) {
+                runnable_[kept++] = h;
+            }
+        }
+        if (!progressed)
+            break;
+        runnable_.erase(runnable_.begin() + static_cast<std::ptrdiff_t>(kept),
+                        runnable_.end());
+        // Fan-out and completion touch no stage still in the round (only
+        // the finished stage, its new children and its blocked
+        // ancestors) and none of the round's inputs, so they run after
+        // the gives, in the same order.
+        for (const int32_t h : finished_)
+            FinishLocalWork(h, end_time);
+
+        // Drop the finished stages from the running list in one stable
+        // pass: they are a subsequence of it in the same order.
+        if (finished_.size() == run.size()) {
+            run.clear();
+        } else if (!finished_.empty()) {
+            size_t w = 0, f = 0;
+            for (const int32_t h : run) {
+                if (f < finished_.size() && h == finished_[f])
+                    ++f;
+                else
+                    run[w++] = h;
+            }
+            run.erase(run.begin() + static_cast<std::ptrdiff_t>(w),
+                      run.end());
+        }
+
+        if (!tier.queue.empty())
+            AdmitFromQueue(tier, now);
     }
 }
 
@@ -321,62 +415,9 @@ Cluster::Tick(double now, double dt)
             tier.next_sync_at += tier.spec.log_sync_period_s;
         }
 
-        // Fraction of this tick the tier is able to run.
-        double avail = 1.0;
-        if (tier.stall_until > now)
-            avail = std::max(0.0, (end_time - tier.stall_until) / dt);
-
-        AdmitFromQueue(tier, now);
-
-        double cap_s = tier.cpu_limit * cfg_.speed_factor *
-                       tier.capacity_factor * dt * avail;
-        const double per_stage_cap = dt * avail; // one core per stage
-
-        for (int round = 0; round < kMaxRounds && cap_s > kEpsWork;
-             ++round) {
-            runnable_.clear();
-            for (const int32_t h : tier.running) {
-                Stage& s = stages_[h];
-                if (s.last_tick != tick_id_) {
-                    s.last_tick = tick_id_;
-                    s.consumed_tick_s = 0.0;
-                }
-                if (s.ready_tick <= tick_id_ &&
-                    s.remaining_s > kEpsWork &&
-                    s.consumed_tick_s < per_stage_cap - kEpsWork) {
-                    runnable_.push_back(h);
-                }
-            }
-            if (runnable_.empty())
-                break;
-
-            const double share =
-                cap_s / static_cast<double>(runnable_.size());
-            bool progressed = false;
-            for (const int32_t h : runnable_) {
-                Stage& s = stages_[h];
-                const double give =
-                    std::min({share, s.remaining_s,
-                              per_stage_cap - s.consumed_tick_s});
-                if (give <= kEpsWork)
-                    continue;
-                s.remaining_s -= give;
-                s.consumed_tick_s += give;
-                cap_s -= give;
-                tier.cpu_used_acc += give;
-                progressed = true;
-                if (s.remaining_s <= kEpsWork) {
-                    s.remaining_s = 0.0;
-                    // Remove from running before fan-out.
-                    auto& run = tier.running;
-                    run.erase(std::find(run.begin(), run.end(), h));
-                    FinishLocalWork(h, end_time);
-                }
-            }
-            if (!progressed)
-                break;
-            AdmitFromQueue(tier, now);
-        }
+        // An idle tier (nothing queued, nothing running) only samples.
+        if (!tier.queue.empty() || !tier.running.empty())
+            ServeTier(tier, now, dt, end_time);
 
         tier.queue_len_acc += static_cast<double>(tier.queue.size());
         tier.active_acc += static_cast<double>(tier.active);
@@ -431,7 +472,6 @@ Cluster::Harvest(double now, double interval_s)
         tier.tx_pkts = 0.0;
         tier.wait_acc = 0.0;
         tier.wait_count = 0;
-        tier.completions = 0;
     }
 
     latency_.Seal(); // sort once in place; Quantiles then copies nothing

@@ -18,8 +18,8 @@
 #ifndef SINAN_CLUSTER_CLUSTER_H
 #define SINAN_CLUSTER_CLUSTER_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -44,6 +44,41 @@ struct ClusterConfig {
     bool enable_log_sync = true;
 };
 
+/**
+ * FIFO of stage handles: a power-of-two ring buffer that grows by
+ * doubling and never shrinks, so a tier's steady-state queue traffic
+ * allocates nothing.
+ */
+class StageQueue {
+  public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    int32_t front() const { return buf_[head_]; }
+
+    void
+    push_back(int32_t handle)
+    {
+        if (size_ == buf_.size())
+            Grow();
+        buf_[(head_ + size_) & (buf_.size() - 1)] = handle;
+        ++size_;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & (buf_.size() - 1);
+        --size_;
+    }
+
+  private:
+    void Grow();
+
+    std::vector<int32_t> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+};
+
 /** Runtime state of one tier (exposed for tests and white-box benches). */
 struct TierState {
     TierSpec spec;
@@ -54,8 +89,9 @@ struct TierState {
     /** Occupied slots (running + blocked on children). */
     int active = 0;
     /** Admission queue of stage handles. */
-    std::deque<int32_t> queue;
-    /** Stages admitted and still owing local CPU work. */
+    StageQueue queue;
+    /** Admitted stages still owing local CPU work (a stage spawned
+     *  with none holds its slot without ever joining). */
     std::vector<int32_t> running;
 
     /** Externally imposed capacity multiplier in [0, 1] (fault
@@ -78,7 +114,6 @@ struct TierState {
     double tx_pkts = 0.0;
     double wait_acc = 0.0;
     int64_t wait_count = 0;
-    int64_t completions = 0;
 };
 
 /**
@@ -152,41 +187,52 @@ class Cluster {
     std::vector<Trace> TakeTraces();
 
   private:
-    /** One node of a flattened call tree. */
+    /** One node of the flattened call trees (all request types share
+     *  one array; see roots_). */
     struct FlatNode {
         int tier;
-        double demand_s;
-        double demand_cv;
+        /** Tier of the parent node in the call tree (-1 for a root). */
+        int parent_tier;
+        /** Service demand, fitted once at construction. */
+        Rng::LogNormalParams demand;
         double hit_prob;
         bool async;
         /** Index of the first child (the node right after this one). */
         int32_t child_begin;
         /** Number of direct children. */
         int32_t child_count;
+        /** One past this node's subtree: its next sibling, if any. */
+        int32_t subtree_end;
     };
 
-    /** In-flight execution of one call-tree node. */
-    struct Stage {
-        int32_t node = -1;
-        int16_t type = -1;
-        int8_t state = 0; // 0 free, 1 queued, 2 running, 3 blocked
-        bool record_latency = false;
-        int32_t parent = -1;
-        int32_t pending_children = 0;
-        double remaining_s = 0.0;
-        double consumed_tick_s = 0.0;
-        int64_t last_tick = -1;
-        double enqueue_time = 0.0;
-        double birth_time = 0.0; // root: request injection time
-        /** Tracing handles (-1: untraced). */
-        int32_t trace_idx = -1;
-        int32_t span_idx = -1;
+    /**
+     * In-flight execution of one call-tree node. SpawnStage() writes
+     * every field, so a recycled slot needs no clearing. Kept within
+     * one cache line: the round loop touches one stage per give.
+     */
+    struct alignas(64) Stage {
+        double remaining_s;
+        /** CPU given in the current tick; reset in the tier's first
+         *  round of the tick (a stage admitted later in the tick has
+         *  consumed nothing yet). */
+        double consumed_tick_s;
+        double enqueue_time;
+        double birth_time; // root: request injection time
         /** First tick in which this stage may consume CPU. Children
          *  spawned mid-tick wait one tick, so a serial RPC chain cannot
          *  compress multiple hops of work into a single tick. */
-        int64_t ready_tick = 0;
-        int32_t next_free = -1;
+        int64_t ready_tick;
+        /** Index into nodes_. */
+        int32_t node;
+        int32_t parent;
+        int32_t pending_children;
+        /** Tracing handles (-1: untraced). */
+        int32_t trace_idx;
+        int32_t span_idx;
+        int8_t state; // 0 free, 1 queued, 2 running, 3 blocked
+        bool record_latency;
     };
+    static_assert(sizeof(Stage) == 64, "Stage must fit a cache line");
 
     int32_t AllocStage();
     void FreeStage(int32_t handle);
@@ -197,19 +243,28 @@ class Cluster {
 
     /** Closes the stage's span; finalizes the trace when drained. */
     void CloseSpan(const Stage& s, double end_time);
-    int32_t FlattenTree(const CallNode& node, std::vector<FlatNode>& out);
+
+    /** Appends @p node's subtree to nodes_ in depth-first order and
+     *  returns the node's index. */
+    int32_t FlattenTree(const CallNode& node, int parent_tier);
 
     /** Creates a stage for @p node and enqueues it at its tier. */
-    int32_t SpawnStage(int16_t type, int32_t node, int32_t parent,
-                       bool record_latency, double now, double birth);
+    int32_t SpawnStage(int32_t node, int32_t parent, bool record_latency,
+                       double now, double birth);
 
-    /** Moves queued stages into running while slots are free. */
+    /** Moves queued stages into running while slots are free; the
+     *  ready ones also join runnable_ (see ServeTier). */
     void AdmitFromQueue(TierState& tier, double now);
+
+    /** Shares one tier's CPU over its runnable stages for one tick. */
+    void ServeTier(TierState& tier, double now, double dt,
+                   double end_time);
 
     /** Local work finished: fan out to children or complete. */
     void FinishLocalWork(int32_t handle, double end_time);
 
-    /** Stage (and its sync subtree) fully done; notify parent. */
+    /** Stage (and its sync subtree) fully done; notify parent, which
+     *  completes in turn once its last sync child is done. */
     void CompleteStage(int32_t handle, double end_time);
 
     Application app_;
@@ -217,11 +272,14 @@ class Cluster {
     Rng rng_;
 
     std::vector<TierState> tiers_;
-    /** Flattened call trees, one vector per request type. */
-    std::vector<std::vector<FlatNode>> trees_;
+    /** Flattened call trees of every request type, depth-first. */
+    std::vector<FlatNode> nodes_;
+    /** Root node index of each request type. */
+    std::vector<int32_t> roots_;
 
     std::vector<Stage> stages_;
-    int32_t free_head_ = -1;
+    /** Freed stage slots, reused last-in first-out. */
+    std::vector<int32_t> free_stages_;
 
     // Tracing state: active traces (arena + free list), open-span
     // counts, and the completed traces awaiting TakeTraces().
@@ -239,8 +297,12 @@ class Cluster {
     int64_t in_flight_ = 0;
     PercentileDigest latency_;
 
-    // Scratch buffer reused across ticks to avoid reallocations.
+    // Scratch buffers reused across ticks to avoid reallocations: the
+    // tier's runnable stages of the current round (a subsequence of
+    // its running list, in the same order) and the stages that
+    // finished their local work in it.
     std::vector<int32_t> runnable_;
+    std::vector<int32_t> finished_;
 };
 
 } // namespace sinan

@@ -123,6 +123,45 @@ class Rng {
         return mean + stddev * Normal();
     }
 
+    /** Parameters of a log-normal variate (see FitLogNormal()). */
+    struct LogNormalParams {
+        /** False when the fitted mean is <= 0: the variate is then 0
+         *  and drawing it consumes no generator state. */
+        bool positive = false;
+        /** Mean and standard deviation of the underlying normal. */
+        double mu = 0.0;
+        double sigma = 0.0;
+    };
+
+    /**
+     * Fits the log-normal whose own mean is @p mean and whose
+     * coefficient of variation (stddev / mean) is @p cv. The cluster
+     * fits each call-tree node once and draws from the parameters per
+     * stage.
+     */
+    static LogNormalParams
+    FitLogNormal(double mean, double cv)
+    {
+        LogNormalParams p;
+        if (mean <= 0.0)
+            return p;
+        const double sigma2 = std::log(1.0 + cv * cv);
+        p.positive = true;
+        p.mu = std::log(mean) - 0.5 * sigma2;
+        p.sigma = std::sqrt(sigma2);
+        return p;
+    }
+
+    /** Log-normal variate with fitted parameters: one Normal() draw
+     *  when positive, none otherwise. */
+    double
+    LogNormal(const LogNormalParams& p)
+    {
+        if (!p.positive)
+            return 0.0;
+        return std::exp(Normal(p.mu, p.sigma));
+    }
+
     /**
      * Log-normal variate parameterized directly by its own mean and the
      * coefficient of variation @p cv (stddev / mean). Used for service
@@ -131,11 +170,7 @@ class Rng {
     double
     LogNormal(double mean, double cv)
     {
-        if (mean <= 0.0)
-            return 0.0;
-        const double sigma2 = std::log(1.0 + cv * cv);
-        const double mu = std::log(mean) - 0.5 * sigma2;
-        return std::exp(Normal(mu, std::sqrt(sigma2)));
+        return LogNormal(FitLogNormal(mean, cv));
     }
 
     /** Poisson count with mean @p lambda (inversion for small, PTRS-ish loop). */

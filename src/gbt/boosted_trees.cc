@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -406,24 +407,53 @@ BoostedTrees::Load(std::istream& in)
     in.read(reinterpret_cast<char*>(&nf), sizeof(nf));
     in.read(reinterpret_cast<char*>(&base), sizeof(base));
     in.read(reinterpret_cast<char*>(&nt), sizeof(nt));
-    if (!in || nt < 0 || nf < 0)
+    if (!in || (obj != 0 && obj != 1) || nt < 0 || nf < 0)
         throw std::runtime_error("BoostedTrees::Load: corrupt header");
+
+    // Counts come from the stream, so nothing is sized by them up
+    // front: trees are appended as they are read and nodes arrive in
+    // bounded chunks, so a forged count fails at the end of the stream
+    // instead of allocating what the stream cannot hold.
+    constexpr int32_t kNodeChunk = 4096;
+    std::vector<Tree> trees;
+    for (int32_t k = 0; k < nt; ++k) {
+        int32_t nn = 0;
+        in.read(reinterpret_cast<char*>(&nn), sizeof(nn));
+        if (!in || nn < 1)
+            throw std::runtime_error("BoostedTrees::Load: corrupt tree");
+        Tree t;
+        for (int32_t done = 0; done < nn;) {
+            const int32_t chunk = std::min(nn - done, kNodeChunk);
+            t.nodes.resize(static_cast<size_t>(done + chunk));
+            in.read(reinterpret_cast<char*>(t.nodes.data() + done),
+                    static_cast<std::streamsize>(
+                        static_cast<size_t>(chunk) * sizeof(Node)));
+            if (!in)
+                throw std::runtime_error("BoostedTrees::Load: truncated");
+            done += chunk;
+        }
+        // An internal node must test a real feature and point strictly
+        // forward inside its tree, so every walk reads in bounds and
+        // terminates.
+        for (int32_t i = 0; i < nn; ++i) {
+            const Node& node = t.nodes[static_cast<size_t>(i)];
+            if (node.feature < 0)
+                continue;
+            if (node.feature >= nf || node.left <= i || node.left >= nn ||
+                node.right <= i || node.right >= nn) {
+                throw std::runtime_error(
+                    "BoostedTrees::Load: corrupt node " + std::to_string(i) +
+                    " of tree " + std::to_string(k));
+            }
+        }
+        trees.push_back(std::move(t));
+    }
+
     obj_ = obj == 0 ? Objective::kLogistic : Objective::kSquared;
     n_features_ = nf;
     base_score_ = base;
-    trees_.assign(nt, Tree{});
-    for (Tree& t : trees_) {
-        int32_t nn = 0;
-        in.read(reinterpret_cast<char*>(&nn), sizeof(nn));
-        if (!in || nn < 0)
-            throw std::runtime_error("BoostedTrees::Load: corrupt tree");
-        t.nodes.resize(nn);
-        in.read(reinterpret_cast<char*>(t.nodes.data()),
-                static_cast<std::streamsize>(nn * sizeof(Node)));
-    }
-    feature_gain_.assign(n_features_, 0.0);
-    if (!in)
-        throw std::runtime_error("BoostedTrees::Load: truncated");
+    trees_ = std::move(trees);
+    feature_gain_.assign(static_cast<size_t>(n_features_), 0.0);
 }
 
 } // namespace sinan

@@ -96,10 +96,16 @@ class BoostedTrees {
     /** Number of trees kept after (optional) early stopping. */
     int NumTrees() const { return static_cast<int>(trees_.size()); }
 
+    /** Row width the trees were trained on (0 before training). */
+    int NumFeatures() const { return n_features_; }
+
     /** Total split gain attributed to each feature. */
     std::vector<double> FeatureImportance() const;
 
-    /** Binary serialization. */
+    /** Binary serialization. Load() validates every tree (features in
+     *  range, children strictly after their parent and inside the
+     *  tree) and throws std::runtime_error on corrupt or hostile bytes,
+     *  leaving the model unchanged. */
     void Save(std::ostream& out) const;
     void Load(std::istream& in);
 

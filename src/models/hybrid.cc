@@ -385,6 +385,16 @@ HybridModel::LoadLegacyPayload(std::istream& in)
 {
     cnn_.Load(in);
     bt_.Load(in);
+    // The trees index BtRow's columns: latent, X_RC, four aggregates.
+    // An untrained BT (no trees, no features) predicts its base score.
+    const int width = cnn_.LatentSize() + fcfg_.n_tiers + 4;
+    if (bt_.NumFeatures() != width &&
+        !(bt_.NumFeatures() == 0 && bt_.NumTrees() == 0)) {
+        throw std::runtime_error(
+            "HybridModel::Load: BT row width " +
+            std::to_string(bt_.NumFeatures()) + " != latent + tiers + 4 = " +
+            std::to_string(width));
+    }
     in.read(reinterpret_cast<char*>(&val_rmse_ms_), sizeof(val_rmse_ms_));
     in.read(reinterpret_cast<char*>(&val_rmse_subqos_ms_),
             sizeof(val_rmse_subqos_ms_));

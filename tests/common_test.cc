@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -132,6 +134,58 @@ TEST(Rng, LogNormalZeroMeanReturnsZero)
 {
     Rng rng(13);
     EXPECT_EQ(rng.LogNormal(0.0, 0.3), 0.0);
+}
+
+TEST(Rng, LogNormalSplitMatchesFormulaBitForBit)
+{
+    // The fit/draw split must reproduce the direct formula exactly:
+    // the cluster fits each call-tree node once and draws per stage,
+    // and every simulator output depends on these bits.
+    auto reference = [](Rng& rng, double mean, double cv) {
+        if (mean <= 0.0)
+            return 0.0;
+        const double sigma2 = std::log(1.0 + cv * cv);
+        const double mu = std::log(mean) - 0.5 * sigma2;
+        return std::exp(rng.Normal(mu, std::sqrt(sigma2)));
+    };
+    const std::pair<double, double> cases[] = {
+        {0.005, 0.3}, {0.0012, 0.0}, {2.5, 1.7}, {1e-6, 0.05},
+        {0.0, 0.3},   {-0.01, 0.5},  {0.03, 4.0},
+    };
+    for (uint64_t seed = 1; seed <= 50; ++seed) {
+        Rng a(seed), b(seed), c(seed);
+        // Three rounds so both halves of the Box-Muller pair are hit.
+        for (int round = 0; round < 3; ++round) {
+            for (const auto& [mean, cv] : cases) {
+                const Rng::LogNormalParams p =
+                    Rng::FitLogNormal(mean, cv);
+                const double split = a.LogNormal(p);
+                const double direct = b.LogNormal(mean, cv);
+                const double ref = reference(c, mean, cv);
+                EXPECT_EQ(std::memcmp(&split, &direct, sizeof(double)),
+                          0)
+                    << "seed " << seed << " mean " << mean << " cv "
+                    << cv;
+                EXPECT_EQ(std::memcmp(&split, &ref, sizeof(double)), 0)
+                    << "seed " << seed << " mean " << mean << " cv "
+                    << cv;
+            }
+        }
+        EXPECT_EQ(a.NextU64(), c.NextU64());
+    }
+}
+
+TEST(Rng, LogNormalNonPositiveMeanConsumesNoState)
+{
+    for (uint64_t seed = 1; seed <= 50; ++seed) {
+        for (double mean : {0.0, -0.0, -1.0}) {
+            Rng drawn(seed), fresh(seed);
+            EXPECT_FALSE(Rng::FitLogNormal(mean, 0.3).positive);
+            EXPECT_EQ(drawn.LogNormal(mean, 0.3), 0.0);
+            EXPECT_EQ(drawn.LogNormal(Rng::FitLogNormal(mean, 0.0)), 0.0);
+            EXPECT_EQ(drawn.Uniform(), fresh.Uniform());
+        }
+    }
 }
 
 TEST(Rng, PoissonSmallLambdaMean)

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -185,6 +189,123 @@ TEST(BoostedTrees, LoadRejectsGarbage)
     std::stringstream ss("not a model");
     BoostedTrees model;
     EXPECT_THROW(model.Load(ss), std::runtime_error);
+}
+
+/** One serialized node, laid out like BoostedTrees' own Node. */
+struct RawNode {
+    int32_t feature;
+    float threshold;
+    int32_t left;
+    int32_t right;
+    float value;
+};
+
+/** Serializes a logistic model with @p nf features and the given trees
+ *  (the tree count and node counts may be forged). */
+std::string
+RawModel(int32_t nf, int32_t nt, const std::vector<int32_t>& node_counts,
+         const std::vector<std::vector<RawNode>>& trees)
+{
+    std::string out;
+    auto put = [&](const auto& v) {
+        out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(int32_t{0});
+    put(nf);
+    put(0.0);
+    put(nt);
+    for (size_t k = 0; k < trees.size(); ++k) {
+        put(node_counts[k]);
+        for (const RawNode& n : trees[k])
+            put(n);
+    }
+    return out;
+}
+
+void
+ExpectLoadThrows(const std::string& bytes)
+{
+    std::stringstream ss(bytes);
+    BoostedTrees model;
+    EXPECT_THROW(model.Load(ss), std::runtime_error);
+}
+
+TEST(BoostedTrees, LoadAcceptsHandBuiltStump)
+{
+    // Root splits on feature 1 at 0.5: left leaf 1, right leaf 2. A
+    // valid stream must load, or the rejections below prove nothing
+    // about RawModel's layout.
+    const std::vector<RawNode> stump = {{1, 0.5f, 1, 2, 0.0f},
+                                        {-1, 0.0f, -1, -1, -3.0f},
+                                        {-1, 0.0f, -1, -1, 3.0f}};
+    std::stringstream ss(RawModel(2, 1, {3}, {stump}));
+    BoostedTrees model;
+    model.Load(ss);
+    EXPECT_EQ(model.NumFeatures(), 2);
+    const float lo[] = {0.9f, 0.1f}, hi[] = {0.1f, 0.9f};
+    EXPECT_LT(model.Predict(lo), 0.5);
+    EXPECT_GT(model.Predict(hi), 0.5);
+}
+
+TEST(BoostedTrees, LoadRejectsSelfLoop)
+{
+    // Would make Predict loop forever.
+    ExpectLoadThrows(RawModel(1, 1, {1}, {{{0, 0.5f, 0, 0, 0.0f}}}));
+}
+
+TEST(BoostedTrees, LoadRejectsBackwardChild)
+{
+    const std::vector<RawNode> cycle = {{0, 0.5f, 1, 2, 0.0f},
+                                        {0, 0.5f, 0, 2, 0.0f},
+                                        {-1, 0.0f, -1, -1, 1.0f}};
+    ExpectLoadThrows(RawModel(1, 1, {3}, {cycle}));
+}
+
+TEST(BoostedTrees, LoadRejectsOutOfRangeChild)
+{
+    const std::vector<RawNode> tree = {{0, 0.5f, 1, 7, 0.0f},
+                                       {-1, 0.0f, -1, -1, 1.0f}};
+    ExpectLoadThrows(RawModel(1, 1, {2}, {tree}));
+}
+
+TEST(BoostedTrees, LoadRejectsOutOfRangeFeature)
+{
+    const std::vector<RawNode> tree = {{4, 0.5f, 1, 2, 0.0f},
+                                       {-1, 0.0f, -1, -1, 1.0f},
+                                       {-1, 0.0f, -1, -1, 2.0f}};
+    ExpectLoadThrows(RawModel(4, 1, {3}, {tree}));
+}
+
+TEST(BoostedTrees, LoadRejectsNegativeAndEmptyCounts)
+{
+    const std::vector<RawNode> leaf = {{-1, 0.0f, -1, -1, 1.0f}};
+    ExpectLoadThrows(RawModel(1, -1, {}, {}));
+    ExpectLoadThrows(RawModel(-1, 1, {1}, {leaf}));
+    ExpectLoadThrows(RawModel(1, 1, {-5}, {{}}));
+    ExpectLoadThrows(RawModel(1, 1, {0}, {{}}));
+}
+
+TEST(BoostedTrees, LoadRejectsHugeCountsWithoutAllocatingThem)
+{
+    // Forged counts with a few real bytes behind them must fail at the
+    // end of the stream, not reserve gigabytes first.
+    const std::vector<RawNode> leaf = {{-1, 0.0f, -1, -1, 1.0f}};
+    ExpectLoadThrows(RawModel(1, std::numeric_limits<int32_t>::max(), {1},
+                              {leaf}));
+    ExpectLoadThrows(RawModel(1, 1, {std::numeric_limits<int32_t>::max()},
+                              {leaf}));
+}
+
+TEST(BoostedTrees, FailedLoadLeavesModelUnchanged)
+{
+    BoostedTrees model;
+    const GbtDataset train = ThresholdDataset(400, 5);
+    model.Train(train);
+    const double before = model.Predict(&train.x[0]);
+    std::stringstream ss(RawModel(1, 1, {1}, {{{0, 0.5f, 0, 0, 0.0f}}}));
+    EXPECT_THROW(model.Load(ss), std::runtime_error);
+    EXPECT_EQ(model.Predict(&train.x[0]), before);
+    EXPECT_EQ(model.NumFeatures(), 4);
 }
 
 TEST(BoostedTrees, ConstantLabelsPredictThatLabel)

@@ -5,9 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "models/baseline_nets.h"
@@ -340,6 +343,37 @@ TEST(HybridModel, SaveLoadRoundTrip)
     const auto pb = b.Evaluate(w, allocs);
     EXPECT_DOUBLE_EQ(pa[0].P99(), pb[0].P99());
     EXPECT_DOUBLE_EQ(pa[0].p_violation, pb[0].p_violation);
+}
+
+TEST(HybridModel, LoadRejectsBtOfTheWrongRowWidth)
+{
+    const FeatureConfig f = SmallFeatures();
+    const Dataset all = SyntheticDataset(f, 200, 51);
+    Rng rng(53);
+    const auto [train, valid] = all.Split(0.9, rng);
+    HybridConfig cfg;
+    cfg.train.epochs = 2;
+    cfg.bt.n_trees = 10;
+    HybridModel a(f, cfg, 55);
+    a.Train(train, valid);
+
+    std::stringstream model_ss, bt_ss;
+    a.Save(model_ss);
+    a.Bt().Save(bt_ss);
+    std::string bytes = model_ss.str();
+    const std::string bt = bt_ss.str();
+    const size_t at = bytes.find(bt);
+    ASSERT_NE(at, std::string::npos);
+    // The BT header is {objective, n_features, ...}: widen the rows.
+    int32_t nf = 0;
+    std::memcpy(&nf, bytes.data() + at + sizeof(int32_t), sizeof(nf));
+    EXPECT_EQ(nf, a.Bt().NumFeatures());
+    ++nf;
+    std::memcpy(bytes.data() + at + sizeof(int32_t), &nf, sizeof(nf));
+
+    std::stringstream forged(bytes);
+    HybridModel b(f, cfg, 999);
+    EXPECT_THROW(b.Load(forged), std::runtime_error);
 }
 
 TEST(SinanCnn, ForwardBitIdenticalAcrossThreadCounts)
